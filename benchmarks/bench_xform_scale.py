@@ -39,7 +39,7 @@ def test_hundreds_of_replacements_on_large_graph(benchmark):
     graph = big_graph()
     before = len(graph.elements)
 
-    result = benchmark.pedantic(lambda: xform(graph, [IP_INPUT_COMBO]), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: xform(graph, patterns=[IP_INPUT_COMBO]), rounds=1, iterations=1)
     combos = result.elements_of_class("IPInputCombo")
     rows = [
         ("elements before", before),

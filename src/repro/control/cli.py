@@ -22,18 +22,16 @@ import json
 import sys
 
 
-def _build_router(text, mode, batch):
+def _build_router(text, profile):
     from ..elements.devices import LoopbackDevice
     from ..elements.runtime import Router
     from ..core.toolchain import load_config
-    from ..runtime import ExecutionProfile
     from ..verify.oracle import device_names
 
     devices = {
         name: LoopbackDevice(name, tx_capacity=1 << 30)
         for name in device_names(text)
     }
-    profile = ExecutionProfile(mode=mode, batch=batch)
     graph = load_config(text, "<click-update>")
     return Router(graph, devices=devices, profile=profile)
 
@@ -82,6 +80,13 @@ def main(argv=None):
     )
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
     args = parser.parse_args(argv)
+
+    from ..runtime import ExecutionProfile
+
+    try:
+        profile = ExecutionProfile(mode=args.mode, batch=args.batch)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     try:
         with open(args.config) as handle:
@@ -132,7 +137,7 @@ def main(argv=None):
     from . import ControlPlane, ControlPlaneError
     from ..lang.lexer import split_config_args
 
-    router = _build_router(base_text, args.mode, args.batch)
+    router = _build_router(base_text, profile)
     plane = ControlPlane(router)
     reports = []
     status = 0

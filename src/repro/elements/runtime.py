@@ -15,7 +15,6 @@ configuration's private class table before resolving class names.
 
 from __future__ import annotations
 
-import warnings
 from collections import ChainMap
 
 from ..errors import ClickSemanticError
@@ -51,34 +50,15 @@ def compile_archive_classes(archive):
 class Router:
     """A running router built from a configuration graph."""
 
-    def __init__(
-        self,
-        graph,
-        extra_classes=None,
-        meter=None,
-        devices=None,
-        profile=None,
-        mode=None,
-        batch=None,
-        adaptive_config=None,
-        supervised=None,
-        supervisor_config=None,
-    ):
-        profile = self._fold_legacy_kwargs(
-            profile, mode, batch, adaptive_config, supervised, supervisor_config
-        )
+    def __init__(self, graph, extra_classes=None, meter=None, devices=None, profile=None):
         self.graph = graph
         self.meter = meter
         self.adaptive = None
         self._adaptive_config = None
-        # Tuned-profile extras: node_budget feeds the FDD engine; the
-        # shard knobs are inert on a single router but must round-trip
-        # through .profile so a sharded plane's shard-local routers can
+        # Inert on a single router, but it must round-trip through
+        # .profile so a sharded plane's shard-local routers can
         # reconstruct the full profile.
-        self._node_budget = None
-        self._queue_capacity = None
         self._divide_capacity = False
-        self._chunk_frames = None
         self.supervisor = None
         self.fault_injector = None
         self.retired = False
@@ -101,40 +81,6 @@ class Router:
         self._build()
         if profile is not None:
             self.configure(profile)
-
-    @staticmethod
-    def _fold_legacy_kwargs(profile, mode, batch, adaptive_config, supervised, supervisor_config):
-        """Fold the pre-profile constructor keywords into an
-        :class:`ExecutionProfile`, warning on their use."""
-        legacy = (
-            mode is not None
-            or batch is not None
-            or adaptive_config is not None
-            or supervised is not None
-            or supervisor_config is not None
-        )
-        if not legacy:
-            return profile
-        if profile is not None:
-            raise ValueError(
-                "pass either profile= or the legacy mode/batch/adaptive_config/"
-                "supervised/supervisor_config keywords, not both"
-            )
-        warnings.warn(
-            "Router(mode=..., batch=..., supervised=...) is deprecated; use "
-            "Router(profile=ExecutionProfile(...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        from ..runtime.profile import ExecutionProfile
-
-        return ExecutionProfile(
-            mode=mode if mode is not None else "reference",
-            batch=bool(batch) if batch and mode in ("fast", "adaptive") else False,
-            adaptive=adaptive_config,
-            supervised=bool(supervised),
-            supervisor=supervisor_config,
-        )
 
     # -- construction ---------------------------------------------------------
 
@@ -240,7 +186,7 @@ class Router:
     def profile(self):
         """The :class:`~repro.runtime.profile.ExecutionProfile` this
         router currently runs under (reconstructed from live state, so
-        it survives shims, hot-swaps, and supervisor demotions)."""
+        it survives hot-swaps and supervisor demotions)."""
         from ..runtime.profile import ExecutionProfile
 
         supervisor = self.supervisor
@@ -250,10 +196,7 @@ class Router:
             adaptive=self._adaptive_config,
             supervised=supervisor is not None,
             supervisor=supervisor.config if supervisor is not None else None,
-            queue_capacity=self._queue_capacity,
             divide_capacity=self._divide_capacity,
-            node_budget=self._node_budget,
-            chunk_frames=self._chunk_frames,
         )
 
     def configure(self, profile=None):
@@ -281,20 +224,8 @@ class Router:
             # silently ignored by the mode switch below.
             self.adaptive.uninstall()
             self.adaptive = None
-        if self.adaptive is not None and profile.mode == "fdd":
-            from ..runtime.fdd import DEFAULT_NODE_BUDGET
-
-            wanted = profile.node_budget or DEFAULT_NODE_BUDGET
-            if getattr(self.adaptive, "node_budget", wanted) != wanted:
-                # Same reasoning as above: a changed node budget must
-                # recompile the diagrams, not keep the old expansion.
-                self.adaptive.uninstall()
-                self.adaptive = None
         self._adaptive_config = profile.adaptive
-        self._node_budget = profile.node_budget
-        self._queue_capacity = profile.queue_capacity
         self._divide_capacity = profile.divide_capacity
-        self._chunk_frames = profile.chunk_frames
         self._set_mode(profile.mode, batch=profile.batch)
         if profile.supervised:
             self._attach_supervisor(profile.supervisor)
@@ -326,19 +257,15 @@ class Router:
                 self.fastpath.uninstall()
         elif mode in ("adaptive", "fdd"):
             if self.adaptive is None:
-                engine_kwargs = {}
                 if mode == "fdd":
                     from ..runtime.fdd import FDDEngine as engine_class
-
-                    if self._node_budget is not None:
-                        engine_kwargs["node_budget"] = self._node_budget
                 else:
                     from ..runtime.adaptive import AdaptiveEngine as engine_class
 
                 if self.fastpath is not None and self.fastpath.installed:
                     self.fastpath.uninstall()
                 self.adaptive = engine_class(
-                    self, config=self._adaptive_config, batch=batch, **engine_kwargs
+                    self, config=self._adaptive_config, batch=batch
                 )
                 self.adaptive.install()
         else:
@@ -351,16 +278,6 @@ class Router:
             self._attach_supervisor(supervisor_config)
         return self
 
-    def set_mode(self, mode, batch=False):
-        """Deprecated shim for :meth:`configure`."""
-        warnings.warn(
-            "Router.set_mode is deprecated; use "
-            "Router.configure(ExecutionProfile(mode=..., batch=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._set_mode(mode, batch=batch)
-
     def _attach_supervisor(self, config=None):
         """Attach (or re-attach) supervised execution: error boundaries
         around every compiled chain entry, tiered demotion, circuit
@@ -372,17 +289,6 @@ class Router:
         supervisor = Supervisor(self, config=config)
         supervisor.attach()
         return supervisor
-
-    def attach_supervisor(self, config=None):
-        """Deprecated shim for :meth:`configure` with a supervised
-        profile."""
-        warnings.warn(
-            "Router.attach_supervisor is deprecated; use "
-            "Router.configure(profile.with_supervision(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._attach_supervisor(config)
 
     def detach_supervisor(self):
         """Remove supervision, restoring the unwrapped ports."""

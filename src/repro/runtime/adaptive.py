@@ -12,7 +12,8 @@ can be pruned.
 Three tiers:
 
 - **tier 0** — the reference interpreter (always available through
-  ``router.set_mode("reference")``): the semantic oracle.
+  ``router.configure(ExecutionProfile.reference())``): the semantic
+  oracle.
 - **tier 1** — the statically compiled chains, entered through a cheap
   *sampling dispatcher*: 1 packet in ``sample`` runs the profiled
   flavor of the same chain (identical code plus per-classifier
@@ -55,23 +56,8 @@ __all__ = [
     "ProfileReport",
     "ProfileStore",
     "ProfilingPolicy",
-    "TUNABLES",
     "build_decisions",
 ]
-
-#: Parameter-space declarations for the autotuner (:mod:`repro.tune`).
-#: Plain data — name, domain, default — so the tuner can build its
-#: ``Param`` objects without this module importing back into it.  The
-#: dotted names match the keys ``ExecutionProfile.with_tuning`` consumes.
-TUNABLES = (
-    {"name": "adaptive.threshold", "kind": "log_int", "low": 64, "high": 8192, "default": 512},
-    {"name": "adaptive.sample", "kind": "choice", "choices": [4, 8, 16, 32, 64, 128], "default": 16},
-    {"name": "adaptive.min_samples", "kind": "log_int", "low": 8, "high": 256, "default": 32},
-    {"name": "adaptive.guard_miss_limit", "kind": "log_int", "low": 256, "high": 65536, "default": 8192},
-    {"name": "adaptive.hot_fraction", "kind": "choice", "choices": [0.5, 0.6, 0.75, 0.9], "default": 0.5},
-    {"name": "adaptive.max_recompiles", "kind": "int", "low": 4, "high": 64, "default": 16},
-)
-
 
 class AdaptiveConfig:
     """Tuning knobs for the tiered engine.

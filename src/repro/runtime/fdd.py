@@ -63,7 +63,6 @@ __all__ = [
     "FDDOptimizedPolicy",
     "FDDPolicy",
     "FDDProfilingPolicy",
-    "TUNABLES",
     "build_diagram",
     "classifier_hot_path",
     "router_trees",
@@ -76,19 +75,6 @@ __all__ = [
 #: so the paper's 17-rule screened-subnet IPFilter (107 expanded nodes)
 #: still compiles to a diagram.
 DEFAULT_NODE_BUDGET = 160
-
-#: Parameter-space declaration for the autotuner (:mod:`repro.tune`).
-#: The budget trades diagram coverage (too low and big classifiers fall
-#: back to the generic matcher) against generated-code size.
-TUNABLES = (
-    {
-        "name": "fdd.node_budget",
-        "kind": "log_int",
-        "low": 32,
-        "high": 1024,
-        "default": DEFAULT_NODE_BUDGET,
-    },
-)
 
 
 class _BudgetExceeded(Exception):
@@ -320,8 +306,7 @@ class FDDPolicy(ChainPolicy):
     tag = "fdd"
     fuse_facts = True
 
-    def __init__(self, router, node_budget=DEFAULT_NODE_BUDGET):
-        self.node_budget = node_budget
+    def __init__(self, router):
         self.trees = router_trees(router)
         self.digest = trees_digest(self.trees)
         self.plans = {}
@@ -331,17 +316,17 @@ class FDDPolicy(ChainPolicy):
                 self.plans[name] = plan
 
     def _build_plan(self, name, tree):
-        return build_diagram(tree, node_budget=self.node_budget)
+        return build_diagram(tree)
 
     def cache_key(self):
-        return ("fdd", self.node_budget, self.digest)
+        return ("fdd", self.digest)
 
     def reuse_key(self):
         # Donor reuse across a rules patch: the dirty-set closure
         # already recompiles every chain that can reach the patched
         # classifier, and untouched closures see identical trees — so
         # the content digest must not veto the splice.
-        return ("fdd", self.node_budget)
+        return ("fdd",)
 
     def classifier_diagram(self, element):
         return self.plans.get(element.name)
@@ -355,15 +340,15 @@ class FDDProfilingPolicy(FDDPolicy):
     profiling = True
     tag = "fdd-profiling"
 
-    def __init__(self, router, store, node_budget=DEFAULT_NODE_BUDGET):
-        super().__init__(router, node_budget=node_budget)
+    def __init__(self, router, store):
+        super().__init__(router)
         self.store = store
 
     def cache_key(self):
-        return ("fdd-profiling", self.node_budget, self.digest)
+        return ("fdd-profiling", self.digest)
 
     def reuse_key(self):
-        return ("fdd-profiling", self.node_budget)
+        return ("fdd-profiling",)
 
     classifier_note = ProfilingPolicy.classifier_note
     route_note = ProfilingPolicy.route_note
@@ -383,16 +368,8 @@ class FDDOptimizedPolicy(OptimizedPolicy):
     tag = "fdd-optimized"
     fuse_facts = True
 
-    def __init__(
-        self,
-        router,
-        decisions,
-        engine=None,
-        exemplars=None,
-        node_budget=DEFAULT_NODE_BUDGET,
-    ):
+    def __init__(self, router, decisions, engine=None, exemplars=None):
         super().__init__(decisions, engine)
-        self.node_budget = node_budget
         self.trees = router_trees(router)
         self.digest = trees_digest(self.trees)
         # Canonical (pos, taken) hot paths — not raw exemplar bytes —
@@ -410,11 +387,7 @@ class FDDOptimizedPolicy(OptimizedPolicy):
                 self.hot_paths[name] = path
         self.plans = {}
         for name, tree in sorted(self.trees.items()):
-            plan = build_diagram(
-                tree,
-                hot_path=dict(self.hot_paths.get(name, ())),
-                node_budget=self.node_budget,
-            )
+            plan = build_diagram(tree, hot_path=dict(self.hot_paths.get(name, ())))
             if plan is not None:
                 self.plans[name] = plan
         canonical = sorted(self.hot_paths.items())
@@ -425,19 +398,13 @@ class FDDOptimizedPolicy(OptimizedPolicy):
     def cache_key(self):
         return (
             "fdd-optimized",
-            self.node_budget,
             self.digest,
             self.decisions.digest,
             self._hot_digest,
         )
 
     def reuse_key(self):
-        return (
-            "fdd-optimized",
-            self.node_budget,
-            self.decisions.digest,
-            self._hot_digest,
-        )
+        return ("fdd-optimized", self.decisions.digest, self._hot_digest)
 
     def classifier_diagram(self, element):
         return self.plans.get(element.name)
@@ -467,18 +434,17 @@ class FDDEngine(AdaptiveEngine):
     mode_label = "fdd"
     tier_label = "fdd"
 
-    def __init__(self, router, config=None, batch=False, node_budget=DEFAULT_NODE_BUDGET):
-        self.node_budget = node_budget
+    def __init__(self, router, config=None, batch=False):
         self.diagram_rebuilds = 0
         super().__init__(router, config=config, batch=batch)
 
     # -- policy factories --------------------------------------------------
 
     def _tier1_policy(self):
-        return FDDPolicy(self.router, node_budget=self.node_budget)
+        return FDDPolicy(self.router)
 
     def _profiling_policy(self):
-        return FDDProfilingPolicy(self.router, self.store, node_budget=self.node_budget)
+        return FDDProfilingPolicy(self.router, self.store)
 
     def _optimized_policy(self, decisions):
         return FDDOptimizedPolicy(
@@ -486,7 +452,6 @@ class FDDEngine(AdaptiveEngine):
             decisions,
             engine=self,
             exemplars=self.store.classifier_exemplar,
-            node_budget=self.node_budget,
         )
 
     # -- control-plane patching --------------------------------------------
@@ -580,7 +545,7 @@ class FDDEngine(AdaptiveEngine):
         )
         report = {
             "mode": self.mode_label,
-            "node_budget": self.node_budget,
+            "node_budget": DEFAULT_NODE_BUDGET,
             "diagrams": diagrams,
             "totals": totals,
             "budget_fallbacks": fallbacks,

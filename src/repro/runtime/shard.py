@@ -92,42 +92,15 @@ __all__ = [
     "SPSCQueue",
     "ShardReport",
     "ShardedRouter",
-    "TUNABLES",
     "divide_queue_capacities",
 ]
 
-#: Default capacity of the bounded SPSC handoff queues (thread
-#: backend).  Overridable per plane via
-#: ``ExecutionProfile.with_workers(..., queue_capacity=...)``.
+#: Capacity of each shard's bounded SPSC handoff queue (thread
+#: backend).
 DEFAULT_QUEUE_CAPACITY = 256
 
-#: Default frames per pipelined chunk on the process backend
-#: (``ExecutionProfile.chunk_frames`` or the ``chunk_frames``
-#: constructor keyword override it).
+#: Frames per pipelined chunk on the process backend.
 DEFAULT_CHUNK_FRAMES = 2048
-
-#: Parameter-space declarations for the autotuner (:mod:`repro.tune`).
-#: ``shard.workers`` is declared here so the space covers the whole
-#: dispatch surface, but it is construction-time: the default search
-#: pins it to the target plane's worker count, and
-#: ``ExecutionProfile.with_tuning`` never applies it (use
-#: ``with_workers``).
-TUNABLES = (
-    {
-        "name": "shard.queue_capacity",
-        "kind": "choice",
-        "choices": [32, 64, 128, 256, 512, 1024, 2048],
-        "default": DEFAULT_QUEUE_CAPACITY,
-    },
-    {
-        "name": "shard.chunk_frames",
-        "kind": "log_int",
-        "low": 256,
-        "high": 8192,
-        "default": DEFAULT_CHUNK_FRAMES,
-    },
-    {"name": "shard.workers", "kind": "choice", "choices": [1, 2, 4, 8], "default": 1},
-)
 
 _DEVICE_CLASSES = ("PollDevice", "FromDevice", "ToDevice")
 
@@ -367,12 +340,12 @@ class _ThreadShard:
         "poisons",
     )
 
-    def __init__(self, index, queue_capacity=DEFAULT_QUEUE_CAPACITY):
+    def __init__(self, index):
         self.index = index
         self.router = None
         self.devices = None
         self.meter = None
-        self.queue = SPSCQueue(queue_capacity)
+        self.queue = SPSCQueue()
         self.thread = None
         self.worked = 0
         self.error = None
@@ -658,7 +631,6 @@ class ShardedRouter:
         profile=None,
         hash_seed=DEFAULT_SEED,
         journal=None,
-        chunk_frames=None,
     ):
         from ..errors import ClickSemanticError
 
@@ -673,10 +645,6 @@ class ShardedRouter:
         self._extra_classes = extra_classes
         self._profile = profile if profile is not None else ExecutionProfile()
         self.hash_seed = int(hash_seed)
-        if chunk_frames is None:
-            chunk_frames = self._profile.chunk_frames or DEFAULT_CHUNK_FRAMES
-        self.chunk_frames = int(chunk_frames)
-        self._queue_capacity = self._profile.queue_capacity or DEFAULT_QUEUE_CAPACITY
         self.fault_injector = None
         self.retired = False
         self._started = False
@@ -722,8 +690,9 @@ class ShardedRouter:
     def configure(self, profile=None):
         """Apply a profile across every shard.  The execution tier,
         batch flavor, and supervision may change on a live plane;
-        ``workers`` and ``shard_backend`` are construction-time — once
-        the shards exist, changing them raises."""
+        ``workers``, ``shard_backend`` and ``divide_capacity`` are
+        construction-time — once the shards exist, changing them
+        raises."""
         if profile is None:
             profile = ExecutionProfile()
         if self._started and (
@@ -735,13 +704,10 @@ class ShardedRouter:
                 "build a new one"
                 % (self.workers, self.backend, profile.workers, profile.shard_backend)
             )
-        if self._started and (
-            (profile.queue_capacity or DEFAULT_QUEUE_CAPACITY) != self._queue_capacity
-            or profile.divide_capacity != self._profile.divide_capacity
-        ):
+        if self._started and profile.divide_capacity != self._profile.divide_capacity:
             raise ValueError(
-                "queue_capacity and divide_capacity are construction-time "
-                "on a ShardedRouter; build a new one"
+                "divide_capacity is construction-time on a ShardedRouter; "
+                "build a new one"
             )
         changed = profile != self._profile
         self._profile = profile
@@ -833,7 +799,7 @@ class ShardedRouter:
 
     def _start_thread_shards(self):
         for index in range(self.workers):
-            shard = _ThreadShard(index, self._queue_capacity)
+            shard = _ThreadShard(index)
             shard.router, shard.devices, shard.meter = self._build_shard_router(index)
             shard.flushed = {name: 0 for name in self._device_names}
             self._spawn_thread_worker(shard)
@@ -1325,7 +1291,6 @@ class ShardedRouter:
         from ..elements.devices import PollDevice
 
         recovery = self._recovery
-        chunk = max(1, self.chunk_frames)
         total = sum(len(batch) for batch in batches)
         for index, shard in enumerate(self._shards):
             if recovery is not None and recovery.is_down(index):
@@ -1333,7 +1298,7 @@ class ShardedRouter:
             mirror = ("mirror", caps[index])
             self._journal_cmd(index, mirror)
             self._proc_send(shard, mirror)
-        if total <= chunk:
+        if total <= DEFAULT_CHUNK_FRAMES:
             for index, shard in enumerate(self._shards):
                 if recovery is not None and recovery.is_down(index):
                     continue
@@ -1351,7 +1316,7 @@ class ShardedRouter:
             # parent hashes and serializes the next chunk; a final full
             # run guarantees at least ``iterations`` passes after the
             # last frame arrives (the drain the caller sized).
-            per_shard_chunk = max(PollDevice.BURST, chunk // self.workers)
+            per_shard_chunk = max(PollDevice.BURST, DEFAULT_CHUNK_FRAMES // self.workers)
             positions = [0] * self.workers
             spent = [0] * self.workers
             while True:
@@ -1933,7 +1898,7 @@ class ShardedRouter:
         # were never delivered.
         if shard.meter is not None:
             shard.meter_snapshot = shard.meter.summary()
-        shard.queue = SPSCQueue(self._queue_capacity)
+        shard.queue = SPSCQueue()
         self._spawn_thread_worker(shard)
 
     def _replay_thread_journal(self, shard, index):

@@ -48,17 +48,7 @@ from __future__ import annotations
 
 import json
 
-__all__ = ["ResilienceReport", "Supervisor", "SupervisorConfig", "SupervisorError", "TUNABLES"]
-
-#: Parameter-space declarations for the autotuner (:mod:`repro.tune`):
-#: the circuit-breaker knobs worth searching.  Plain data, mirrored by
-#: ``ExecutionProfile.with_tuning`` (applied only to supervised
-#: profiles).
-TUNABLES = (
-    {"name": "supervisor.error_budget", "kind": "int", "low": 2, "high": 16, "default": 4},
-    {"name": "supervisor.backoff", "kind": "log_int", "low": 8, "high": 512, "default": 32},
-)
-
+__all__ = ["ResilienceReport", "Supervisor", "SupervisorConfig", "SupervisorError"]
 
 class SupervisorError(RuntimeError):
     """Supervision cannot be attached (metered router, double attach)."""
@@ -310,7 +300,7 @@ class Supervisor:
 
     Create, then :meth:`attach`; :meth:`detach` restores the wrapped
     ports exactly (and must run before the router changes mode, which
-    swaps port lists wholesale underneath the wrappers — Router.set_mode
+    swaps port lists wholesale underneath the wrappers — Router.configure
     handles that ordering).
     """
 

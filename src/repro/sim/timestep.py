@@ -38,13 +38,10 @@ class _Port:
 class TimesteppedTestbed:
     """Hardware-level simulation of one configuration at one load."""
 
-    def __init__(self, platform, cpu_ns_per_packet, frame_bytes=64, queue_capacity=None):
+    def __init__(self, platform, cpu_ns_per_packet, frame_bytes=64):
         self.platform = platform
         self.cpu_ns = cpu_ns_per_packet
         self.frame_bytes = frame_bytes
-        self.queue_capacity = (
-            _QUEUE_CAPACITY if queue_capacity is None else int(queue_capacity)
-        )
         self.pci = PCIBus(platform.pci_bytes_per_sec)
         port_pairs = max(1, platform.nic_ports // 2)
         self.ports = [
@@ -83,7 +80,7 @@ class TimesteppedTestbed:
                         continue
                     cpu_budget -= 1.0
                     progress = True
-                    if len(port.queue) >= self.queue_capacity:
+                    if len(port.queue) >= _QUEUE_CAPACITY:
                         self.queue_drops += 1
                         continue
                     port.queue.append(frame)
@@ -109,11 +106,6 @@ class TimesteppedTestbed:
         )
 
 
-def simulate(
-    input_rate_pps, cpu_ns_per_packet, platform, duration_s=0.05, queue_capacity=None
-):
+def simulate(input_rate_pps, cpu_ns_per_packet, platform, duration_s=0.05):
     """One operating point through the time-stepped simulator."""
-    testbed = TimesteppedTestbed(
-        platform, cpu_ns_per_packet, queue_capacity=queue_capacity
-    )
-    return testbed.run(input_rate_pps, duration_s)
+    return TimesteppedTestbed(platform, cpu_ns_per_packet).run(input_rate_pps, duration_s)

@@ -237,6 +237,16 @@ class TestCli:
         assert status == 1
         assert "REJECTED" in capsys.readouterr().out
 
+    def test_batch_in_reference_mode_is_a_usage_error(self, tmp_path, capsys):
+        from repro.control.cli import main
+
+        path = self.write_config(tmp_path)
+        argv = [str(path), "--routes", "rt=10.0.0.0/8 0", "--mode", "reference", "--batch"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "batch dispatch requires mode" in capsys.readouterr().err
+
     def test_console_script_entry(self):
         from repro.core.cli import update_main
 

@@ -115,21 +115,6 @@ class TestSwapResultSurface:
         report = result.report
         assert report.chains_reused > 0
 
-    def test_legacy_attribute_proxy_warns(self):
-        old = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
-        result = hotswap_router(old, parse_graph(EXTENDED))
-        with pytest.warns(DeprecationWarning, match="SwapResult"):
-            assert result.mode == "fast"
-        with pytest.warns(DeprecationWarning, match="SwapResult"):
-            result.push_packet("c", 0, Packet(b"x"))
-        assert result.router["c"].count == 1
-
-    def test_legacy_mode_kwarg_warns_and_works(self):
-        old = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
-        with pytest.warns(DeprecationWarning, match="deprecated; use"):
-            result = hotswap_router(old, parse_graph(EXTENDED), mode="reference")
-        assert result.router.mode == "reference"
-
 
 class TestRollback:
     def _serving(self, router):
@@ -177,15 +162,6 @@ class TestRollback:
         assert not old.retired
         assert old.mode == "fast"
         assert [p.data for p in list(old["q"]._deque)] == [b"a", b"b"]
-        self._serving(old)
-
-    def test_invalid_legacy_mode_rolls_back(self):
-        old = Router(parse_graph(BASE))
-        old.push_packet("c", 0, Packet(b"x"))
-        with pytest.warns(DeprecationWarning, match="deprecated; use"):
-            with pytest.raises(HotswapError, match="mode"):
-                hotswap_router(old, parse_graph(EXTENDED), mode="warp-speed")
-        assert not old.retired
         self._serving(old)
 
 

@@ -67,10 +67,7 @@ class TestValue:
             "supervisor": False,
             "workers": 1,
             "shard_backend": "thread",
-            "queue_capacity": None,
             "divide_capacity": False,
-            "node_budget": None,
-            "chunk_frames": None,
             "recovery": None,
         }
 
@@ -104,100 +101,22 @@ class TestRouterRoundTrip:
         router = Router(parse_graph(PIPE))
         assert router.configure(ExecutionProfile.fast()) is router
 
-    def test_legacy_profile_plus_kwargs_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            Router(parse_graph(PIPE), profile=ExecutionProfile.fast(), mode="fast")
-
 
 class TestTunableFields:
-    def test_queue_capacity_validation(self):
-        assert ExecutionProfile(queue_capacity=64).queue_capacity == 64
-        with pytest.raises(ValueError):
-            ExecutionProfile(queue_capacity=0)
-        with pytest.raises(TypeError):
-            ExecutionProfile(queue_capacity="big")
-        with pytest.raises(TypeError):
-            ExecutionProfile(node_budget=True)
-        with pytest.raises(ValueError):
-            ExecutionProfile(chunk_frames=-1)
-
     def test_divide_capacity_normalized_to_bool(self):
         assert ExecutionProfile(divide_capacity=1).divide_capacity is True
         assert ExecutionProfile().divide_capacity is False
 
     def test_with_workers_carries_capacity_knobs(self):
-        profile = ExecutionProfile.fast().with_workers(
-            2, "thread", queue_capacity=64, divide_capacity=True
-        )
+        profile = ExecutionProfile.fast().with_workers(2, "thread", divide_capacity=True)
         assert profile.workers == 2
-        assert profile.queue_capacity == 64
         assert profile.divide_capacity is True
         # None keeps the current values.
         again = profile.with_workers(2)
-        assert again.queue_capacity == 64 and again.divide_capacity is True
+        assert again.divide_capacity is True
 
     def test_shard_local_keeps_capacity_knobs(self):
-        profile = ExecutionProfile.fast().with_workers(
-            2, queue_capacity=64, divide_capacity=True
-        )
+        profile = ExecutionProfile.fast().with_workers(2, divide_capacity=True)
         local = profile.shard_local()
         assert local.workers == 1
-        assert local.queue_capacity == 64 and local.divide_capacity is True
-
-
-class TestWithTuning:
-    PARAMS = {
-        "adaptive.threshold": 128,
-        "adaptive.sample": 8,
-        "adaptive.min_samples": 16,
-        "adaptive.guard_miss_limit": 4096,
-        "adaptive.hot_fraction": 0.6,
-        "adaptive.max_recompiles": 8,
-        "fdd.node_budget": 320,
-        "shard.queue_capacity": 128,
-        "shard.chunk_frames": 1024,
-        "shard.workers": 4,
-        "supervisor.error_budget": 8,
-        "supervisor.backoff": 64,
-        "batch": True,
-        "mystery.future_knob": 9,
-    }
-
-    def test_applies_engine_and_capacity_knobs(self):
-        tuned = ExecutionProfile.tiered().with_tuning(self.PARAMS)
-        assert tuned.adaptive.threshold == 128
-        assert tuned.adaptive.sample == 8
-        assert tuned.adaptive.min_samples == 16
-        assert tuned.adaptive.guard_miss_limit == 4096
-        assert tuned.adaptive.hot_fraction == 0.6
-        assert tuned.adaptive.max_recompiles == 8
-        assert tuned.node_budget == 320
-        assert tuned.queue_capacity == 128
-        assert tuned.chunk_frames == 1024
-        assert tuned.batch is True
-
-    def test_never_changes_construction_shape(self):
-        tuned = ExecutionProfile.tiered().with_tuning(self.PARAMS)
-        assert tuned.workers == 1  # shard.workers is with_workers' job
-        assert tuned.supervisor is None  # unsupervised: supervisor.* inert
-
-    def test_batch_dropped_in_reference_mode(self):
-        tuned = ExecutionProfile.reference().with_tuning(self.PARAMS)
-        assert tuned.batch is False and tuned.mode == "reference"
-
-    def test_supervisor_knobs_apply_when_supervised(self):
-        tuned = ExecutionProfile.tiered().with_supervision().with_tuning(self.PARAMS)
-        assert tuned.supervisor is not None
-        assert tuned.supervisor.error_budget == 8
-        assert tuned.supervisor.backoff == 64
-
-    def test_accepts_artifact_like_objects(self):
-        class Artifact:
-            params = {"adaptive.threshold": 64}
-
-        tuned = ExecutionProfile.tiered().with_tuning(Artifact())
-        assert tuned.adaptive.threshold == 64
-
-    def test_empty_params_is_identity(self):
-        profile = ExecutionProfile.tiered()
-        assert profile.with_tuning({}) is profile
+        assert local.divide_capacity is True

@@ -350,22 +350,6 @@ class TestProcessBackend:
 
 
 class TestQueueCapacityKnob:
-    def test_spsc_capacity_from_profile(self):
-        """with_workers(queue_capacity=...) reaches the handoff queues."""
-        testbed = Testbed(2)
-        graph = testbed.variant_graph("base")
-        devices = {
-            interface.device: LoopbackDevice(interface.device, tx_capacity=1 << 30)
-            for interface in testbed.interfaces
-        }
-        profile = ExecutionProfile.fast(batch=True).with_workers(2, queue_capacity=8)
-        router = build_router(graph, devices=devices, profile=profile)
-        try:
-            drive(testbed, router, devices, 16)
-            assert [shard.queue._capacity for shard in router._shards] == [8, 8]
-        finally:
-            router.close()
-
     def test_default_capacity_is_validated_default(self):
         from repro.runtime.shard import DEFAULT_QUEUE_CAPACITY
 
@@ -378,13 +362,13 @@ class TestQueueCapacityKnob:
         finally:
             router.close()
 
-    def test_live_capacity_change_raises(self):
+    def test_live_divide_capacity_change_raises(self):
         testbed, router, devices = sharded_testbed(2)
         try:
             drive(testbed, router, devices, 16)
-            narrower = router.profile.with_workers(2, queue_capacity=4)
+            divided = router.profile.with_workers(2, divide_capacity=True)
             with pytest.raises(ValueError, match="construction-time"):
-                router.configure(narrower)
+                router.configure(divided)
         finally:
             router.close()
 
