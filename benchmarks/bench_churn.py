@@ -10,7 +10,14 @@ flaps and policy pushes.  The same schedule is installed twice:
 - ``full_swap``: through the transactional hot-swap, rebuilding the
   router for every update (chains untouched by the delta are spliced
   from the old compile, but the build/transfer/commit cost is paid in
-  full).
+  full);
+- ``incremental_fdd``: the same schedule through ControlPlane on an
+  ``ExecutionProfile.fdd()`` router with enough traffic between updates
+  to climb back to tier 2, recording deopts, revalidations and tier-2
+  recompiles per update kind.  A route patch that leaves every
+  speculated hot-route result unchanged must not deopt (a count, so
+  the gate cannot flake); a rules patch rebuilds the chains reaching
+  the patched classifier.
 
 Correctness is part of the measurement, not a side check: both runs
 must transmit byte-identical traffic, and every frame fed must come out
@@ -25,7 +32,7 @@ Results go to ``BENCH_churn.json``.  Runs standalone (no pytest):
     python benchmarks/bench_churn.py --check      # validate output
 
 The headline numbers: incremental updates per second (thousands — each
-patch is table staging plus an adaptive deopt, no recompile), p99
+patch on the static fast path is table staging, no recompile), p99
 incremental update latency, and the speedup over full hot-swaps
 (acceptance floor: 5x)."""
 
@@ -43,6 +50,7 @@ from repro.elements.devices import PollDevice  # noqa: E402
 from repro.elements.hotswap import hotswap  # noqa: E402
 from repro.lang.lexer import split_config_args  # noqa: E402
 from repro.runtime import ExecutionProfile  # noqa: E402
+from repro.runtime.adaptive import AdaptiveConfig  # noqa: E402
 from repro.sim.testbed import Testbed  # noqa: E402
 
 SEED = 0xC1C0
@@ -51,6 +59,12 @@ SPEEDUP_FLOOR = 5.0
 # Traffic between updates: enough to keep queues and the fast path hot,
 # small enough that install latency dominates the loop.
 FRAMES_PER_UPDATE = 8
+
+# The FDD leg: eager promotion thresholds and enough frames between
+# updates that every chain re-promotes after each rules repatch, so each
+# route patch meets a live tier 2 whose speculation it could stale.
+FDD_CONFIG = dict(threshold=48, sample=4, min_samples=12)
+FDD_FRAMES_PER_UPDATE = 256
 
 
 def build(profile=None):
@@ -107,19 +121,33 @@ def drain(router, devices):
     }
 
 
-def run_incremental(updates):
-    """The same schedule through ControlPlane; per-update latencies."""
-    testbed, router, devices = build()
+def run_incremental(updates, profile=None, frames_per_update=FRAMES_PER_UPDATE):
+    """The same schedule through ControlPlane; per-update latencies.
+    Under an adaptive profile also returns the engine's deopts,
+    revalidations and tier-2 recompiles per update kind (recompiles
+    counted in the traffic after the update, where re-promotion
+    happens), with ``unneeded_deopts``: route patches that deoptimized
+    although every speculated hot-route result stayed the same."""
+    testbed, router, devices = build(profile)
     plane = ControlPlane(router)
+    engine = router.adaptive
     schedule = update_schedule(router.graph, updates, random.Random(SEED))
-    traffic = testbed.evaluation_frames(FRAMES_PER_UPDATE * updates)
+    traffic = testbed.evaluation_frames(frames_per_update * updates)
     latencies = []
     kinds = {}
+    per_kind = {}
     fed = 0
+    last = None  # (kind, recompiles after its update)
     for index, (name, kind, args) in enumerate(schedule):
-        chunk = traffic[index * FRAMES_PER_UPDATE : (index + 1) * FRAMES_PER_UPDATE]
+        chunk = traffic[index * frames_per_update : (index + 1) * frames_per_update]
         drive(plane.router, devices, chunk)
         fed += len(chunk)
+        if engine is not None:
+            if last is not None:
+                per_kind[last[0]]["recompiles"] += engine.recompiles - last[1]
+            hot = _hot_routes(engine)
+            resolved = _resolve(engine, hot)
+            deopts, revalidated = len(engine.deopts), len(engine.revalidated)
         start = time.perf_counter()
         if kind == "routes":
             report = plane.update_routes(name, args)
@@ -127,8 +155,48 @@ def run_incremental(updates):
             report = plane.update_rules(name, args)
         latencies.append(time.perf_counter() - start)
         kinds[report.kind] = kinds.get(report.kind, 0) + 1
+        if engine is not None:
+            counts = per_kind.setdefault(
+                kind,
+                {"updates": 0, "deopts": 0, "revalidated": 0, "recompiles": 0,
+                 "unneeded_deopts": 0},
+            )
+            counts["updates"] += 1
+            counts["deopts"] += len(engine.deopts) - deopts
+            counts["revalidated"] += len(engine.revalidated) - revalidated
+            if (
+                kind == "routes"
+                and len(engine.deopts) > deopts
+                and _resolve(engine, hot) == resolved
+            ):
+                counts["unneeded_deopts"] += 1
+            last = (kind, engine.recompiles)
     wire = drain(plane.router, devices)
-    return latencies, kinds, fed, wire
+    if last is not None:
+        per_kind[last[0]]["recompiles"] += engine.recompiles - last[1]
+    return latencies, kinds, fed, wire, per_kind
+
+
+def _hot_routes(engine):
+    """``(table, destination)`` of every hot route tier 2 speculated."""
+    if engine.tier2_fp is None:
+        return ()
+    return tuple(
+        (name, decision["constant"][0])
+        for name, decision in engine.tier2_fp.policy.decisions.route.items()
+        if decision["constant"] is not None
+    )
+
+
+def _resolve(engine, hot):
+    """How the live tables route each of ``hot``: (gateway, port)."""
+    results = []
+    for name, raw in hot:
+        result = engine.router.elements[name].lookup_route(raw)
+        if result is not None:
+            result = (result[0].value if result[0] is not None else None, result[1])
+        results.append(result)
+    return results
 
 
 def run_full_swap(updates):
@@ -202,9 +270,33 @@ def chaos_verify(events=32):
     }
 
 
+def run_fdd(updates):
+    """The schedule on an FDD router, against a reference-interpreter
+    run of the same schedule and traffic."""
+    profile = ExecutionProfile.fdd(config=AdaptiveConfig(**FDD_CONFIG))
+    latencies, kinds, fed, wire, per_kind = run_incremental(
+        updates, profile, FDD_FRAMES_PER_UPDATE
+    )
+    _, _, _, reference_wire, _ = run_incremental(
+        updates, ExecutionProfile(), FDD_FRAMES_PER_UPDATE
+    )
+    transmitted = sum(len(frames) for frames in wire.values())
+    return dict(
+        stats(latencies),
+        kinds=kinds,
+        frames_per_update=FDD_FRAMES_PER_UPDATE,
+        per_kind=per_kind,
+        unneeded_deopts=sum(c["unneeded_deopts"] for c in per_kind.values()),
+        packets_fed=fed,
+        packets_transmitted=transmitted,
+        wire_identical_to_reference=wire == reference_wire,
+    )
+
+
 def run(updates, quick):
-    latencies, kinds, fed, wire = run_incremental(updates)
+    latencies, kinds, fed, wire, _ = run_incremental(updates)
     swap_latencies, chain_totals, swap_fed, swap_wire = run_full_swap(updates)
+    fdd = run_fdd(updates)
 
     transmitted = sum(len(frames) for frames in wire.values())
     swap_transmitted = sum(len(frames) for frames in swap_wire.values())
@@ -220,6 +312,7 @@ def run(updates, quick):
         "seed": SEED,
         "frames_per_update": FRAMES_PER_UPDATE,
         "incremental": dict(stats(latencies), kinds=kinds),
+        "incremental_fdd": fdd,
         "full_swap": dict(stats(swap_latencies), chains=chain_totals),
         "speedup": round(speedup, 2),
         "packets_fed": fed,
@@ -236,6 +329,12 @@ def run(updates, quick):
         "full swap:   %(updates_per_second).1f updates/s, p99 %(p99_ms).1f ms"
         % results["full_swap"]
     )
+    for kind, counts in sorted(fdd["per_kind"].items()):
+        print(
+            "fdd %-6s %d updates: %d deopts, %d revalidated, %d tier-2 recompiles"
+            % (kind, counts["updates"], counts["deopts"], counts["revalidated"],
+               counts["recompiles"])
+        )
     print(
         "speedup %.1fx; zero-drop=%s; wire-identical=%s; chaos=%s"
         % (speedup, zero_drop, wire_identical, chaos["status"])
@@ -258,6 +357,16 @@ def check_file(path):
         failures.append("packets were dropped by an install")
     if not results["wire_identical_to_full_rebuild"]:
         failures.append("incremental wire output differs from the full rebuild's")
+    fdd = results["incremental_fdd"]
+    if fdd["unneeded_deopts"]:
+        failures.append(
+            "%d FDD route patch(es) deoptimized although no speculated route "
+            "result changed" % fdd["unneeded_deopts"]
+        )
+    if fdd["packets_transmitted"] != fdd["packets_fed"]:
+        failures.append("packets were dropped by an FDD install")
+    if not fdd["wire_identical_to_reference"]:
+        failures.append("FDD incremental wire output differs from the reference's")
     if results["chaos"]["status"] != "ok":
         failures.append("chaos verification failed: %s" % results["chaos"]["failures"])
     if results["incremental"]["updates_per_second"] < 1000:

@@ -4,8 +4,10 @@ A delta that only rewrites the configuration strings of data-table
 elements (route tables, live classifier rules) never changes the graph
 the fast-path compiler saw — the generated chains bind the *containers*
 (the route memo, the one-slot matcher cell), so new tables can be
-patched under them in place, with only the adaptive engine's
-speculations deoptimized for the touched elements.  Anything that adds,
+patched under them in place; the adaptive engine keeps whatever it
+speculated that the new tables leave true and deoptimizes the rest, and
+the FDD engine recompiles the chains whose diagrams bake in a patched
+classifier.  Anything that adds,
 removes, rewires, or re-classes elements goes through the transactional
 hot-swap, scoped by the same delta so untouched chains are spliced from
 the old compile instead of regenerated.
@@ -21,7 +23,7 @@ import time
 from collections import deque
 
 from ..elements.classifiers import _TreeClassifier
-from ..elements.hotswap import SwapReport, hotswap
+from ..elements.hotswap import SwapReport, chain_totals, hotswap
 from ..elements.routing import _IPRouteTable
 from ..graph.diff import GraphDelta, diff_graphs
 from ..lang.lexer import split_config_args
@@ -194,11 +196,14 @@ class ControlPlane:
     def commit_patch(self, staged, delta):
         """Phase two: install a batch staged by :meth:`stage_patch` —
         commit the prepared tables, sync config strings and the live
-        graph, and deopt adaptive chains that speculated on the old
-        data.  Returns the ``"in-place"`` :class:`SwapReport`."""
+        graph, and let the adaptive engine revalidate, deopt or rebuild
+        the chains that depended on the old data.  Returns the
+        ``"in-place"`` :class:`SwapReport`, counting the chains those
+        rebuilds recompiled and reused."""
         router = self._router
         started = time.perf_counter()
         graph = router.graph
+        rebuilt = []
         for element, kind, prepared, change in staged:
             if kind == "routes":
                 element.commit_routes(prepared)
@@ -211,14 +216,17 @@ class ControlPlane:
             if router.adaptive is not None:
                 # Compiled chains may have baked in the old table
                 # (hot-route constants, guarded classifier arms, FDD
-                # diagrams); the engine demotes or rebuilds exactly the
-                # chains that can reach this element.
-                router.adaptive.on_table_patch(change.name, kind)
+                # diagrams); the engine keeps, demotes or rebuilds
+                # exactly the chains that can reach this element.
+                rebuilt.extend(router.adaptive.on_table_patch(change.name, kind))
 
         report = SwapReport("in-place", profile=router.profile.label)
         report.delta = delta.summary()
         report.phases["patch"] = time.perf_counter() - started
         report.elements_patched = len(staged)
+        report.chains_recompiled, report.chains_reused, report.cache_hit = chain_totals(
+            rebuilt
+        )
         return report
 
     def _try_patch(self, delta, diff_seconds):

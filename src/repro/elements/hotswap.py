@@ -90,7 +90,7 @@ class SwapReport:
             parts.append(self.delta)
         if self.kind == "in-place":
             parts.append("%d element(s) patched" % self.elements_patched)
-        else:
+        if self.kind != "in-place" or self.chains_recompiled or self.chains_reused:
             parts.append(
                 "%d chain(s) recompiled, %d reused%s"
                 % (
@@ -162,13 +162,13 @@ def _live_fastpaths(router):
     return paths
 
 
-def _chain_totals(router):
-    """``(recompiled, reused, cache_hit)`` summed over the router's
-    compiled fast paths.  A codegen-cache hit replays the whole module
-    without re-emitting anything, so its chains all count as reused."""
+def chain_totals(paths):
+    """``(recompiled, reused, cache_hit)`` summed over compiled fast
+    paths.  A codegen-cache hit replays the whole module without
+    re-emitting anything, so its chains all count as reused."""
     recompiled = reused = 0
     cache_hit = False
-    for path in _live_fastpaths(router):
+    for path in paths:
         report = path.report
         total = report.push_chains + report.pull_chains
         if report.cache_hit:
@@ -297,7 +297,7 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None,
         if getattr(new_router, "_fastpath_reuse", None) is not None:
             new_router._fastpath_reuse = None
     report.phases["compile"] = time.perf_counter() - started
-    recompiled, reused, cache_hit = _chain_totals(new_router)
+    recompiled, reused, cache_hit = chain_totals(_live_fastpaths(new_router))
     report.chains_recompiled = recompiled
     report.chains_reused = reused
     report.cache_hit = cache_hit

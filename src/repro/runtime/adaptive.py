@@ -34,6 +34,11 @@ traffic changed shape, and the engine *deoptimizes* the chains that
 reach the offending element back to tier 1, resets the profile, and
 lets them climb again against fresh counters.
 
+A control-plane route patch does not deopt by itself: the engine
+re-derives the patched table's route decision from the profile it was
+built on, against the new table, and keeps tier 2 when nothing it
+speculated changed (:meth:`AdaptiveEngine.on_table_patch`).
+
 The recompile itself is usually free: tier-2 code is content-addressed
 in the codegen cache by (graph fingerprint, profile-decision digest),
 so a router re-learning a previously seen traffic shape replays the
@@ -67,7 +72,9 @@ class AdaptiveConfig:
     promotion; ``min_samples`` is the least profile weight a decision
     may rest on; ``hot_fraction`` is how dominant an arm must be before
     it is guarded; ``guard_miss_limit`` misses on one guard site
-    deoptimize; ``max_recompiles`` bounds tier-2 rebuilds per engine.
+    deoptimize; ``max_recompiles`` bounds the tier-2 rebuilds that guard
+    pressure forces per engine (rebuilds after control-plane patches
+    are not charged: the traffic did not change shape).
     """
 
     __slots__ = (
@@ -382,15 +389,20 @@ def _arp_entry(element, raw):
 
 
 class Decisions:
-    """One profile bucket: everything the optimized policy bakes in."""
+    """One profile bucket: everything the optimized policy bakes in.
 
-    __slots__ = ("classifier", "route", "arp", "check_ip_hot", "digest")
+    ``route_basis`` keeps, per route table, the profile counts its
+    decision was made from (not part of the digest): a route patch is
+    revalidated by re-deciding from exactly that basis."""
 
-    def __init__(self, classifier, route, arp, check_ip_hot):
+    __slots__ = ("classifier", "route", "arp", "check_ip_hot", "route_basis", "digest")
+
+    def __init__(self, classifier, route, arp, check_ip_hot, route_basis):
         self.classifier = classifier
         self.route = route
         self.arp = arp
         self.check_ip_hot = check_ip_hot
+        self.route_basis = route_basis
         canonical = (
             sorted(
                 (name, d["order"], d["guard"], tuple(sorted(d["prune"])))
@@ -452,12 +464,14 @@ def build_decisions(router, store, config):
         if decision is not None:
             classifier[name] = decision
     route = {}
+    route_basis = {}
     busiest = (0, None)
     for name, counts in store.route.items():
         element = router.elements.get(name)
         if element is None or not counts:
             continue
-        decision = _route_decision(element, counts, config)
+        route_basis[name] = dict(counts)
+        decision = _route_decision(element, route_basis[name], config)
         if decision is not None:
             route[name] = decision
             if decision["constant"] is not None and decision["total"] > busiest[0]:
@@ -474,7 +488,14 @@ def build_decisions(router, store, config):
         entry = _arp_entry(querier, gateway_value if gateway_value is not None else raw)
         if entry is not None:
             arp[querier.name] = entry
-    return Decisions(classifier, route, arp, busiest[1])
+    return Decisions(classifier, route, arp, busiest[1], route_basis)
+
+
+def _route_speculation(decision):
+    """What a route decision bakes into tier 2, comparably."""
+    if decision is None:
+        return None
+    return (decision["order"], decision["constant"], frozenset(decision["prune"]))
 
 
 class OptimizedPolicy(ChainPolicy):
@@ -588,7 +609,8 @@ class _ChainState:
 
 class ProfileReport:
     """Observability snapshot: per-chain tiers and counters, recompile
-    and deopt history, and the codegen cache's hit rate."""
+    and deopt history (with the route patches revalidated instead of
+    deoptimized), and the codegen cache's hit rate."""
 
     def __init__(self, engine):
         self.mode = engine.mode_label
@@ -601,6 +623,7 @@ class ProfileReport:
         self.counters = engine.store.snapshot() if engine.store else {}
         self.recompiles = engine.recompiles
         self.deopts = list(engine.deopts)
+        self.revalidated = list(engine.revalidated)
         self.guard_misses = {
             "%s/%s" % (c.element, c.site): c.count for c in engine._guard_counters
         }
@@ -630,6 +653,7 @@ class ProfileReport:
             },
             "recompiles": self.recompiles,
             "deopts": self.deopts,
+            "revalidated": self.revalidated,
             "guard_misses": self.guard_misses,
             "decisions": self.decisions,
             "tier2": self.tier2_report,
@@ -653,11 +677,12 @@ class ProfileReport:
                 tiers.get(1, 0),
                 tiers.get(0, 0),
             ),
-            "  recompiles: %d, deopts: %d%s"
+            "  recompiles: %d, deopts: %d%s, revalidated: %d"
             % (
                 self.recompiles,
                 len(self.deopts),
                 " (%s)" % "; ".join(self.deopts) if self.deopts else "",
+                len(self.revalidated),
             ),
             "  codegen cache: %(entries)d entries, %(hits)d hits, %(misses)d misses"
             % self.cache,
@@ -703,9 +728,17 @@ class AdaptiveEngine:
                 cache=default_cache(),
             )
         self.tier2_fp = None
+        # A retired tier 2 offered as the scoped-reuse donor of the next
+        # promotion, with the element names that changed since it was
+        # compiled: ``(fastpath, dirty set)`` or None.
+        self._tier2_donor = None
         self.states = {}
         self.recompiles = 0
+        # What max_recompiles bounds: each guard-pressure deopt forces
+        # one rebuild; control-plane deopts and repatches are not charged.
+        self.pressure_deopts = 0
         self.deopts = []
+        self.revalidated = []
         self._guard_counters = []
         self._decisions_cache = None
         self._reach_cache = {}
@@ -837,7 +870,7 @@ class AdaptiveEngine:
     def _ensure_tier2(self):
         if self.tier2_fp is not None:
             return self.tier2_fp
-        if self.recompiles >= self.config.max_recompiles:
+        if self.pressure_deopts > self.config.max_recompiles:
             return None
         if self._decisions_cache is None:
             decisions = build_decisions(self.router, self.store, self.config)
@@ -851,12 +884,24 @@ class AdaptiveEngine:
         decisions = self._decisions_cache
         if decisions.empty():
             return None
-        self.tier2_fp = FastPath(
-            self.router,
-            batch=self.batch,
-            policy=self._optimized_policy(decisions),
-            cache=default_cache(),
-        )
+        router = self.router
+        donor = self._tier2_donor
+        self._tier2_donor = None
+        if donor is not None:
+            # Splice every chain the patches since the donor's compile
+            # left untouched; the policy's reuse key declines the donor
+            # if the new profile decided differently.
+            router._fastpath_reuse = {"dirty": donor[1], "fastpaths": [donor[0]]}
+        try:
+            self.tier2_fp = FastPath(
+                router,
+                batch=self.batch,
+                policy=self._optimized_policy(decisions),
+                cache=default_cache(),
+            )
+        finally:
+            if donor is not None:
+                router._fastpath_reuse = None
         self.recompiles += 1
         return self.tier2_fp
 
@@ -880,6 +925,7 @@ class AdaptiveEngine:
         return counter
 
     def _on_guard_pressure(self, counter):
+        self.pressure_deopts += 1
         self.deopt(
             "guard pressure at %s/%s" % (counter.element, counter.site),
             element_name=counter.element,
@@ -927,12 +973,45 @@ class AdaptiveEngine:
 
     def on_table_patch(self, name, kind):
         """A control-plane in-place table patch landed on element
-        ``name`` (``kind`` is ``"routes"`` or ``"rules"``).  The base
-        engine's compiled code reads live tables through bound cells
-        and memo dicts, so correctness needs only a deopt of the chains
-        whose *speculations* may now be stale.  The FDD engine
-        overrides this to also rebuild the affected diagrams."""
+        ``name`` (``kind`` is ``"routes"`` or ``"rules"``); returns the
+        fast paths it recompiled (none here).
+
+        The base engine's compiled code reads live tables through bound
+        cells and memo dicts, so correctness needs only that no
+        *speculation* went stale.  A route patch is revalidated: the
+        table's route decision is re-derived from the profile it was
+        made from, against the new table, and when it equals what tier
+        2 baked (order, hot constant, pruned arms) tier 2 and the
+        profile stay.  That is sound because compiled lookups read the
+        live ``_memo`` (cleared in place by ``commit_routes``), pruned
+        arms fall back to the jump table, and ARP constants stay guarded
+        by ``_arp_epoch``.  Any other patch deopts the chains that can
+        reach ``name``.  The FDD engine overrides this to rebuild the
+        diagrams a rules patch changes."""
+        if kind == "routes" and self._route_speculation_holds(name):
+            if self._decisions_cache is not None:
+                self.revalidated.append("route patch of %s" % name)
+            return []
         self.deopt("control-plane patch of %s" % name, element_name=name)
+        return []
+
+    def _route_speculation_holds(self, name):
+        """Would the decisions in force make the same route speculation
+        for ``name`` against its live table?  Trivially yes while none
+        are in force: nothing is baked, and the profile records raw
+        destinations, which a table patch does not change."""
+        decisions = self._decisions_cache
+        if decisions is None:
+            return True
+        basis = decisions.route_basis.get(name)
+        baked = decisions.route.get(name)
+        if basis is None:
+            return baked is None
+        element = self.router.elements.get(name)
+        if element is None:
+            return False
+        fresh = _route_decision(element, basis, self.config)
+        return _route_speculation(fresh) == _route_speculation(baked)
 
     # -- observability -----------------------------------------------------
 

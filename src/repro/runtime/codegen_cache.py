@@ -3,14 +3,16 @@
 ``FastPath._compile`` pays ``compile``/``exec`` per router build even
 when the configuration is identical — the common case in benchmarks,
 test suites, and hot-swap, where the same graph is instantiated over
-and over.  This module caches the *generated artifact* (source + code
-object + the replay recipes for every bound runtime object) keyed by
+and over.  This module caches the *generated artifact* (source, one
+code object per chain, and the replay recipes for every bound runtime
+object) keyed by
 
     (graph fingerprint, element-class identity, batch flag, policy key)
 
 so a repeat build skips generation and compilation entirely: the entry
 re-binds each ``_bN`` slot against the fresh router from its recipe and
-re-executes the already-compiled code object in a fresh namespace.
+re-executes the already-compiled chain code objects in a fresh
+namespace.
 
 Recipes (recorded by :meth:`FastPath._bind`) are small tuples:
 
@@ -51,7 +53,7 @@ Corruption is survivable by design: a replay that raises for any reason
 makes :class:`~repro.runtime.fastpath.FastPath` evict the entry and
 fall back to a fresh compile (``corrupt`` counts them).  The same
 contract covers the optional disk layer: :meth:`CodegenCache.save`
-writes entries (source + recipes, *not* code objects) under
+writes entries (sources + recipes, *not* code objects) under
 process-stable keys — element classes identified by qualified name
 instead of ``id()`` — and :meth:`CodegenCache.load` validates each
 record individually, skipping truncated or mangled ones instead of
@@ -66,7 +68,7 @@ from collections import OrderedDict
 
 __all__ = ["CacheEntry", "CodegenCache", "default_cache"]
 
-_DISK_MAGIC = "repro-codegen-cache-v2"
+_DISK_MAGIC = "repro-codegen-cache-v3"
 _ENTRY_FIELDS = (
     "source",
     "names",
@@ -146,7 +148,7 @@ class CacheEntry:
 
     __slots__ = (
         "source",
-        "code",
+        "chain_codes",
         "names",
         "specs",
         "chains",
@@ -165,7 +167,7 @@ class CacheEntry:
     def from_fastpath(cls, fastpath):
         entry = cls()
         entry.source = fastpath.source
-        entry.code = fastpath._code
+        entry.chain_codes = dict(fastpath._chain_codes)
         entry.names = dict(fastpath._names)
         entry.specs = dict(fastpath._bind_specs)
         entry.chains = dict(fastpath.chains)
@@ -187,8 +189,8 @@ class CacheEntry:
 
     def replay(self, fastpath):
         """Rebuild ``fastpath`` from this entry: resolve every bind
-        recipe against its router, exec the cached code object, refill
-        the jump tables, and restore the compile report."""
+        recipe against its router, exec the cached chain code objects,
+        refill the jump tables, and restore the compile report."""
         router = fastpath.router
         tables = [
             ([], router.elements[name], mode) for (name, mode) in self.jump_specs
@@ -197,9 +199,10 @@ class CacheEntry:
         namespace = fastpath._namespace
         for name, spec in self.specs.items():
             namespace[name] = _resolve_spec(spec, fastpath, tables)
-        exec(self.code, namespace)  # noqa: S102 - cached generated code
+        for code in self.chain_codes.values():
+            exec(code, namespace)  # noqa: S102 - cached generated code
         fastpath.source = self.source
-        fastpath._code = self.code
+        fastpath._chain_codes = dict(self.chain_codes)
         fastpath._names = dict(self.names)
         fastpath._bind_specs = dict(self.specs)
         fastpath.chains = dict(self.chains)
@@ -314,7 +317,7 @@ class CodegenCache:
             return None
 
     def store(self, key, fastpath):
-        if key is None or fastpath._code is None:
+        if key is None or fastpath._chain_codes is None:
             return
         with self._lock:
             self._entries[key] = CacheEntry.from_fastpath(fastpath)
@@ -384,8 +387,9 @@ class CodegenCache:
 
     def save(self, path):
         """Persist every in-memory entry under its process-stable key.
-        Code objects are not written — :meth:`load` recompiles from
-        source, which is what lets it validate entries one by one."""
+        Code objects are not written — :meth:`load` recompiles each
+        chain from its source, which is what lets it validate entries
+        one by one."""
         with self._lock:
             records = []
             for key, entry in self._entries.items():
@@ -425,7 +429,10 @@ class CodegenCache:
     @staticmethod
     def _validate_record(record):
         """A CacheEntry from one disk record, or None if the record is
-        structurally bad or its source no longer compiles."""
+        structurally bad, its module source disagrees with its chain
+        sources, or a chain no longer compiles."""
+        from .fastpath import compile_chain, module_source
+
         if not isinstance(record, dict):
             return None
         if any(field not in record for field in _ENTRY_FIELDS) or "key" not in record:
@@ -433,11 +440,16 @@ class CodegenCache:
         if not isinstance(record["source"], str) or not isinstance(record["key"], tuple):
             return None
         try:
-            code = compile(record["source"], "<codegen-cache>", "exec")
-        except (SyntaxError, ValueError):
+            if record["source"] != module_source(record["chain_sources"]):
+                return None
+            chain_codes = {
+                key: compile_chain(key, lines)
+                for key, lines in record["chain_sources"].items()
+            }
+        except (SyntaxError, ValueError, TypeError, AttributeError):
             return None
         entry = CacheEntry()
-        entry.code = code
+        entry.chain_codes = chain_codes
         for field in _ENTRY_FIELDS:
             setattr(entry, field, record[field])
         return entry

@@ -32,11 +32,13 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   dispatchers, guard-miss counters, deopt) is inherited unchanged from
   :class:`AdaptiveEngine`.
 - **control-plane patches**: a rules update changes tree *content*
-  that diagrams bake in, so :meth:`FDDEngine.on_table_patch` rebuilds
+  that diagrams bake in, so :meth:`FDDEngine.on_table_patch` recompiles
   only the chains that can reach the patched classifier (scoped donor
-  reuse splices every untouched chain verbatim); route patches need no
-  rebuild at all — compiled lookups read the live table through bound
-  memo/lookup cells, exactly as in adaptive mode.
+  reuse re-executes every untouched chain's code object), and the next
+  promotion splices the retired tier 2 the same way.  Route patches
+  need no rebuild at all — compiled lookups read the live table through
+  bound memo/lookup cells — and keep tier 2 unless the patch changed
+  what it speculated, exactly as in adaptive mode.
 
 Cache addressing: diagram code inlines tree content, which a rules
 patch changes *without* changing the graph fingerprint, so every FDD
@@ -426,9 +428,10 @@ class FDDEngine(AdaptiveEngine):
     profile-ordered tests and the usual route/ARP speculation.  A
     control-plane *rules* patch triggers :meth:`repatch_classifier` — a
     scoped rebuild that recompiles only the chains reaching the patched
-    element and splices every other chain verbatim from the old
-    compile; *route* patches fall through to the inherited deopt (the
-    compiled lookup reads the live table, only speculation is stale).
+    element and splices every other chain's code object from the old
+    compile; *route* patches fall through to the inherited
+    revalidation (the compiled lookup reads the live table, so tier 2
+    stays unless its speculation changed).
     """
 
     mode_label = "fdd"
@@ -460,25 +463,27 @@ class FDDEngine(AdaptiveEngine):
         if kind == "rules" and name in getattr(self.tier1.policy, "plans", {}):
             # The patched tree is baked into compiled diagrams; rebuild
             # just the chains that can reach it.
-            self.repatch_classifier(name)
-        else:
-            # Route patches (and budget-fallback classifiers, which
-            # dispatch through the live matcher cell) only invalidate
-            # speculation; the inherited deopt is enough.
-            super().on_table_patch(name, kind)
+            return self.repatch_classifier(name)
+        # Route patches (and budget-fallback classifiers, which
+        # dispatch through the live matcher cell) only touch
+        # speculation; the inherited revalidation or deopt is enough.
+        return super().on_table_patch(name, kind)
 
     def repatch_classifier(self, name):
         """Scoped diagram rebuild after a rules patch on ``name``:
         recompile tier 1 (both flavors) with the new tree, splicing
-        every chain that cannot reach ``name`` verbatim from the old
-        compile, then rearm the dispatchers and reattach supervision.
-        Tier 2 and the profile restart cold, exactly as after a deopt."""
+        every chain that cannot reach ``name`` from the old compile,
+        then rearm the dispatchers and reattach supervision.  Tier 2 and
+        the profile restart cold, exactly as after a deopt, but the
+        retired tier 2 stays the reuse donor of the next promotion, so
+        re-promotion compiles only the chains reaching ``name`` too.
+        Returns the two rebuilt fast paths."""
         router = self.router
         if self.metered:
             # Metered chains call the element's own push, which walks
             # the live tree — nothing baked, nothing to rebuild.
             self.deopt("control-plane patch of %s" % name, element_name=name)
-            return
+            return []
         supervisor = getattr(router, "supervisor", None)
         sup_config = supervisor.config if supervisor is not None else None
         was_installed = self.installed
@@ -491,6 +496,10 @@ class FDDEngine(AdaptiveEngine):
             # its own uninstall.
             self.uninstall()
         self.deopts.append("diagram repatch of %s" % name)
+        if self.tier2_fp is not None:
+            self._tier2_donor = (self.tier2_fp, {name})
+        elif self._tier2_donor is not None:
+            self._tier2_donor[1].add(name)
         self.store.reset()
         self._decisions_cache = None
         self.tier2_fp = None
@@ -524,6 +533,7 @@ class FDDEngine(AdaptiveEngine):
             self.install()
         if supervisor is not None and was_installed:
             router._attach_supervisor(sup_config)
+        return [self.tier1, self.profiled]
 
     # -- observability -----------------------------------------------------
 

@@ -94,11 +94,16 @@ class TestInPlace:
             profile=ExecutionProfile.tiered(config=config)
         )
         drive(testbed, plane, devices, 256)  # promote hot chains to tier 2
-        report = plane.router.adaptive.profile_report().as_dict()
+        engine = plane.router.adaptive
+        report = engine.profile_report().as_dict()
         assert any(chain["tier"] == 2 for chain in report["chains"].values())
-        plane.update_routes("rt", routes_of(plane))
-        report = plane.router.adaptive.profile_report().as_dict()
+        # Re-home the speculated hot destination onto the other port.
+        hot_raw, _gateway, port = engine.tier2_fp.policy.decisions.route["rt"]["constant"]
+        hot = ".".join(str((hot_raw >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+        plane.update_routes("rt", routes_of(plane) + ["%s/32 %d" % (hot, 3 - port)])
+        report = engine.profile_report().as_dict()
         assert any("control-plane patch of rt" in reason for reason in report["deopts"])
+        assert not any(chain["tier"] == 2 for chain in report["chains"].values())
 
     def test_noop_update(self):
         _, plane, _ = build_plane()

@@ -258,18 +258,34 @@ def test_rules_patch_changes_live_dispatch():
     assert 0 < delta < 128
 
 
+def _dotted(raw):
+    return "%d.%d.%d.%d" % tuple((raw >> shift) & 0xFF for shift in (24, 16, 8, 0))
+
+
 def test_route_patch_still_deopts():
+    """A route patch that re-homes the speculated hot destination, or
+    changes its gateway, invalidates tier 2's route constant: the
+    engine must deopt (compiled lookups read the live table, so no
+    diagram is rebuilt)."""
     from repro.control import ControlPlane
     from repro.lang.lexer import split_config_args
 
-    _, router, _ = _fdd_testbed()
-    plane = ControlPlane(router)
-    routes = split_config_args(router.graph.elements["rt"].config)
-    plane.update_routes("rt", routes)
-    engine = router.adaptive
-    assert engine.diagram_rebuilds == 0  # compiled lookups read the live table
-    deopts = engine.profile_report().as_dict()["deopts"]
-    assert any("control-plane patch of rt" in reason for reason in deopts)
+    for change in ("port", "gateway"):
+        _, router, _ = _fdd_testbed()
+        engine = router.adaptive
+        assert engine.tier2_fp is not None
+        hot_raw, _gateway, port = engine.tier2_fp.policy.decisions.route["rt"]["constant"]
+        routes = split_config_args(router.graph.elements["rt"].config)
+        if change == "port":
+            routes.append("%s/32 %d" % (_dotted(hot_raw), 3 - port))
+        else:
+            routes.append("%s/32 9.9.9.9 %d" % (_dotted(hot_raw), port))
+        ControlPlane(router).update_routes("rt", routes)
+        assert engine.diagram_rebuilds == 0  # compiled lookups read the live table
+        report = engine.profile_report().as_dict()
+        assert any("control-plane patch of rt" in reason for reason in report["deopts"])
+        assert report["revalidated"] == []
+        assert engine.tier2_fp is None
 
 
 def test_repatch_survives_supervision():
